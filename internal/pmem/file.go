@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 )
 
@@ -73,15 +74,22 @@ func (r *Region) Save(w io.Writer) error {
 	if err := writeImageHeader(bw, r.size, r.cfg.Mode, 0, id, off); err != nil {
 		return err
 	}
-	img := r.words
-	if r.shadow != nil {
-		img = r.shadow
-	}
 	var buf [WordBytes]byte
-	for i := range img {
-		binary.LittleEndian.PutUint64(buf[:], atomic.LoadUint64(&img[i]))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
+	for ci := 0; ci*chunkWords < len(r.words); ci++ {
+		lo, hi := r.chunkSpan(ci)
+		img := r.words[lo:hi]
+		if r.shadow != nil {
+			c := r.shadow[ci].Load()
+			if c == nil {
+				c = &zeroChunk // never written back
+			}
+			img = c[:hi-lo]
+		}
+		for i := range img {
+			binary.LittleEndian.PutUint64(buf[:], atomic.LoadUint64(&img[i]))
+			if _, err := bw.Write(buf[:]); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -140,10 +148,13 @@ func LoadRegion(rd io.Reader, cfg Config) (*Region, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated image: %v", ErrBadImage, err)
 		}
-		v := binary.LittleEndian.Uint64(buf[:])
-		r.words[i] = v
-		if r.shadow != nil {
-			r.shadow[i] = v
+		r.words[i] = binary.LittleEndian.Uint64(buf[:])
+	}
+	// The shadow gets only the chunks holding a non-zero word.
+	for ci := range r.shadow {
+		lo, hi := r.chunkSpan(ci)
+		if slices.ContainsFunc(r.words[lo:hi], func(v uint64) bool { return v != 0 }) {
+			copy(r.installChunk(uint64(ci))[:], r.words[lo:hi])
 		}
 	}
 	return r, nil

@@ -22,6 +22,12 @@
 // flushes/fences (optionally charging a configurable latency for each), for
 // performance experiments. ModeCrashSim additionally maintains the shadow
 // image and dirty-line tracking, for crash-injection and recovery testing.
+//
+// The shadow is allocated lazily, one 64 KB chunk at a time, on the first
+// write-back of a line in the chunk. A chunk no line was ever written back to
+// stays unallocated and reads as zeros, which is what a fresh region's media
+// holds, so a large region whose program persists little costs little memory
+// beyond its volatile image.
 package pmem
 
 import (
@@ -41,7 +47,17 @@ const (
 	WordBytes = 8
 	// LineWords is the number of words per cache line.
 	LineWords = LineBytes / WordBytes
+
+	// chunkWords is the size of one lazily allocated shadow chunk (64 KB).
+	chunkWords = 1 << 13
+	chunkLines = chunkWords / LineWords
 )
+
+// shadowChunk is one 64 KB piece of the persistent image.
+type shadowChunk [chunkWords]uint64
+
+// zeroChunk is what an unallocated shadow chunk holds. It is never written.
+var zeroChunk shadowChunk
 
 // Mode selects how much machinery a Region carries.
 type Mode int
@@ -69,8 +85,9 @@ func (m Mode) String() string {
 type Config struct {
 	// Mode selects fast (stats-only) or crash-simulation operation.
 	Mode Mode
-	// FlushLatency, if non-zero, is busy-waited on every Flush of a dirty
-	// line, modeling the cost of clwb to Optane media.
+	// FlushLatency, if non-zero, is busy-waited for every line flushed by
+	// Flush or FlushRange, dirty or clean, modeling the cost of clwb to
+	// Optane media.
 	FlushLatency time.Duration
 	// FenceLatency, if non-zero, is busy-waited on every Fence (sfence).
 	FenceLatency time.Duration
@@ -113,8 +130,10 @@ type Stats struct {
 // concurrent word operations on the same words; callers must not mix them on
 // contended locations.
 type Region struct {
-	words  []uint64 // volatile image
-	shadow []uint64 // persistent image (ModeCrashSim only)
+	words []uint64 // volatile image
+	// shadow is the persistent image (ModeCrashSim only), one lazily
+	// allocated chunk per chunkWords words; a nil chunk holds zeros.
+	shadow []atomic.Pointer[shadowChunk]
 	dirty  []uint32 // per-line dirty flags (ModeCrashSim only)
 	size   uint64   // bytes
 	cfg    Config
@@ -172,7 +191,7 @@ func NewRegion(size uint64, cfg Config) *Region {
 		cfg:   cfg,
 	}
 	if cfg.Mode == ModeCrashSim {
-		r.shadow = make([]uint64, size/WordBytes)
+		r.shadow = make([]atomic.Pointer[shadowChunk], (size/WordBytes+chunkWords-1)/chunkWords)
 		r.dirty = make([]uint32, lines)
 		seed := cfg.Seed
 		if seed == 0 {
@@ -209,15 +228,25 @@ func (r *Region) Load(off uint64) uint64 {
 	return atomic.LoadUint64(&r.words[i])
 }
 
+// markDirty marks the line containing off dirty. It must be called after the
+// word store it covers: writeBackLine clears the flag before copying the
+// line, so a store followed by its mark is either in the copy or leaves the
+// line dirty for the next write-back. Marking first would let a concurrent
+// write-back clear the mark, copy the old word, and leave the new word
+// unflushable until the line is stored to again.
+func (r *Region) markDirty(off uint64) {
+	if r.dirty != nil {
+		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
+	}
+}
+
 // Store atomically writes v to the word at byte offset off and marks the
 // containing cache line dirty.
 func (r *Region) Store(off, v uint64) {
 	i := r.checkWord(off)
 	r.stats.stores.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	atomic.StoreUint64(&r.words[i], v)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -231,10 +260,8 @@ func (r *Region) Store(off, v uint64) {
 func (r *Region) CAS(off, old, new uint64) bool {
 	i := r.checkWord(off)
 	r.stats.cases.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	ok := atomic.CompareAndSwapUint64(&r.words[i], old, new)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -247,10 +274,8 @@ func (r *Region) CAS(off, old, new uint64) bool {
 func (r *Region) Add(off, delta uint64) uint64 {
 	i := r.checkWord(off)
 	r.stats.cases.Add(1)
-	if r.dirty != nil {
-		atomic.StoreUint32(&r.dirty[off/LineBytes], 1)
-	}
 	v := atomic.AddUint64(&r.words[i], delta)
+	r.markDirty(off)
 	r.snapMark(off)
 	if r.cfg.StoreHook != nil {
 		r.cfg.StoreHook()
@@ -307,11 +332,32 @@ func (r *Region) writeBackLine(l uint64) {
 		return
 	}
 	atomic.StoreUint32(&r.dirty[l], 0)
-	w := l * LineWords
-	for i := uint64(0); i < LineWords; i++ {
-		atomic.StoreUint64(&r.shadow[w+i], atomic.LoadUint64(&r.words[w+i]))
+	c := r.shadow[l/chunkLines].Load()
+	if c == nil {
+		c = r.installChunk(l / chunkLines)
+	}
+	dst := c[(l%chunkLines)*LineWords:][:LineWords]
+	src := r.words[l*LineWords:][:LineWords]
+	for i := range dst {
+		atomic.StoreUint64(&dst[i], atomic.LoadUint64(&src[i]))
 	}
 	r.stats.linesBack.Add(1)
+}
+
+// installChunk installs a zeroed shadow chunk ci, unless a concurrent
+// write-back got there first, and returns the installed one.
+func (r *Region) installChunk(ci uint64) *shadowChunk {
+	if c := new(shadowChunk); r.shadow[ci].CompareAndSwap(nil, c) {
+		return c
+	}
+	return r.shadow[ci].Load()
+}
+
+// chunkSpan returns the volatile-image word range [lo, hi) shadow chunk ci
+// covers; the last chunk may be partial.
+func (r *Region) chunkSpan(ci int) (lo, hi int) {
+	lo = ci * chunkWords
+	return lo, min(lo+chunkWords, len(r.words))
 }
 
 // Fence issues a store fence (sfence). Because simulated flushes complete
@@ -358,10 +404,15 @@ func (r *Region) Crash() error {
 			r.writeBackLine(uint64(l))
 		}
 	}
-	for i := range r.words {
-		r.words[i] = r.shadow[i]
-		r.dirty[uint64(i)/LineWords] = 0
+	for ci := range r.shadow {
+		lo, hi := r.chunkSpan(ci)
+		if c := r.shadow[ci].Load(); c != nil {
+			copy(r.words[lo:hi], c[:hi-lo])
+		} else {
+			clear(r.words[lo:hi])
+		}
 	}
+	clear(r.dirty)
 	return nil
 }
 
@@ -418,19 +469,15 @@ func (r *Region) WriteBytes(off uint64, b []byte) {
 		if shift == 0 && len(b)-i >= WordBytes {
 			v := uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
 				uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-			if r.dirty != nil {
-				atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-			}
 			atomic.StoreUint64(&r.words[wi], v)
+			r.markDirty(o)
 			i += WordBytes
 			continue
 		}
 		w := atomic.LoadUint64(&r.words[wi])
 		w = (w &^ (0xFF << shift)) | uint64(b[i])<<shift
-		if r.dirty != nil {
-			atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-		}
 		atomic.StoreUint64(&r.words[wi], w)
+		r.markDirty(o)
 		i++
 	}
 	r.snapMarkRange(off, uint64(len(b)))
@@ -446,10 +493,8 @@ func (r *Region) Zero(off, n uint64) {
 		panic(fmt.Sprintf("pmem: Zero out of bounds [%#x,%#x)", off, off+n))
 	}
 	for o := off; o < off+n; o += WordBytes {
-		if r.dirty != nil {
-			atomic.StoreUint32(&r.dirty[o/LineBytes], 1)
-		}
 		atomic.StoreUint64(&r.words[o/WordBytes], 0)
+		r.markDirty(o)
 	}
 	r.snapMarkRange(off, n)
 }

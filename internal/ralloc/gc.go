@@ -217,7 +217,10 @@ type RecoveryStats struct {
 // allocator metadata so that all and only the reachable blocks are allocated
 // — the recoverability criterion. Filters must have been registered (via
 // GetRoot) beforehand. The heap stays dirty until a clean Close, so a crash
-// during recovery simply causes recovery to run again.
+// during recovery, or at any point before Close, simply causes recovery to
+// run again. Recovery therefore writes back only the descriptors it clears
+// (one flush each, then one fence); the metadata it rebuilds stays in the
+// cache until Close persists it.
 func (h *Heap) Recover() (RecoveryStats, error) {
 	start := time.Now()
 	h.dropHandles()
@@ -236,9 +239,9 @@ func (h *Heap) Recover() (RecoveryStats, error) {
 
 // rebuildFromTrace performs steps 3 and 6–10 of recovery: reset the global
 // lists, sweep every used superblock keeping exactly the blocks marked in
-// g, rebuild all metadata, and write everything back. It is shared by
-// full-crash recovery (Recover) and the stop-the-world collection used
-// after partial, single-process crashes (Manager.Collect).
+// g, rebuild all metadata, and persist the descriptors it clears. It is
+// shared by full-crash recovery (Recover) and the stop-the-world collection
+// used after partial, single-process crashes (Manager.Collect).
 func (h *Heap) rebuildFromTrace(g *GC) RecoveryStats {
 	r := h.region
 	// Step 3: fresh global lists. Every shard slot up to MaxShards is
@@ -296,8 +299,8 @@ func (h *Heap) rebuildFromTrace(g *GC) RecoveryStats {
 		}
 	}
 
-	// Step 10: write everything back.
-	h.flushRange(0, h.region.Size())
+	// Step 10: order the descriptor clears before any handle can pop a
+	// retired superblock. Nothing else is written back: see clearAndRetire.
 	h.fence()
 	return stats
 }
@@ -317,6 +320,14 @@ func (h *Heap) resetLists() {
 
 // clearAndRetire resets descriptor i to the uninitialized state and pushes
 // its superblock onto the free list.
+//
+// The clear is the one recovery write that must be durable, for the reason
+// freeLarge persists its clears: once the superblock is reused, a stale run
+// head or class brought back by a later crash would make that crash's sweep
+// free live blocks. Everything else recovery writes (anchors, free chains,
+// list heads) is transient: the heap stays dirty until a clean Close, which
+// persists the whole region, and every recovery rebuilds it without reading
+// it. The caller fences once after the sweep.
 func (h *Heap) clearAndRetire(i uint32) {
 	r := h.region
 	d := h.lay.descOff(i)
@@ -324,6 +335,7 @@ func (h *Heap) clearAndRetire(i uint32) {
 	r.Store(d+dOffBlockSize, 0)
 	r.Store(d+dOffNumSB, 0)
 	r.Store(d+dOffAnchor, packAnchor(stateEmpty, anchorAvailNone, 0))
+	h.flush(d)
 	h.pushDesc(offFreeHead, dOffNextFree, i)
 }
 

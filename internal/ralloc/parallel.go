@@ -277,8 +277,7 @@ func (h *Heap) RecoverParallel(workers int) (RecoveryStats, error) {
 	stats.LargeRuns = runs.Load()
 	stats.SweepUnits = uint64(len(units))
 
-	h.flushRange(0, h.region.Size())
-	h.fence()
+	h.fence() // orders clearAndRetire's flushes, as in rebuildFromTrace
 	stats.TraceTime = traceDone.Sub(start)
 	stats.SweepTime = time.Since(traceDone)
 	stats.Duration = time.Since(start)
