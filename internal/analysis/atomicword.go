@@ -9,10 +9,11 @@ import (
 // AtomicWord enforces the Region access-discipline split (the PR 2
 // cross-stripe lost-update class): a word offset that the package accesses
 // through the atomic accessors (Load/Store/CAS/Add) must not also be
-// accessed through the non-atomic byte accessors (ReadBytes/WriteBytes) —
-// word operations and byte operations on the same word are not atomic with
-// respect to each other (pmem.Region's documented contract), so mixing
-// them on a contended location silently loses updates.
+// accessed through the non-atomic byte accessors (ReadBytes/WriteBytes/
+// EqualBytes) — word operations and byte operations on the same word are
+// not atomic with respect to each other (pmem.Region's documented
+// contract), so mixing them on a contended location silently loses
+// updates.
 //
 // It additionally flags the lost-update shape itself: Store(X, f(Load(X)))
 // — a non-atomic read-modify-write of a word that has an atomic Add/CAS
@@ -64,7 +65,7 @@ func runAtomicWord(pass *Pass) {
 				if _, seen := atomicUses[key]; !seen {
 					atomicUses[key] = use{call.Pos(), method}
 				}
-			case "ReadBytes", "WriteBytes":
+			case "ReadBytes", "WriteBytes", "EqualBytes":
 				if _, seen := rawUses[key]; !seen {
 					rawUses[key] = use{call.Pos(), method}
 				}

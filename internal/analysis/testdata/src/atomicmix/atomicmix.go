@@ -11,6 +11,13 @@ func mix(r *pmem.Region, off uint64) {
 	r.ReadBytes(off+8, b[:]) // want "word off\+8 is accessed non-atomically via ReadBytes"
 }
 
+// compareMix compares bytes in place at a word that is also stored
+// atomically: the same mix as ReadBytes.
+func compareMix(r *pmem.Region, off uint64, key []byte) bool {
+	r.Store(off+24, 1)
+	return r.EqualBytes(off+24, key) // want "word off\+24 is accessed non-atomically via EqualBytes"
+}
+
 // rmw is the PR 2 lost-update shape: Store of a value derived from Load of
 // the same word on the same Region.
 func rmw(r *pmem.Region, off uint64) {

@@ -13,6 +13,7 @@ func (r *Region) CAS(off, old, new uint64) bool      { return false }
 func (r *Region) Add(off, delta uint64) uint64       { return 0 }
 func (r *Region) ReadBytes(off uint64, dst []byte)   {}
 func (r *Region) WriteBytes(off uint64, src []byte)  {}
+func (r *Region) EqualBytes(off uint64, b []byte) bool { return false }
 func (r *Region) Zero(off, n uint64)                 {}
 func (r *Region) Flush(off uint64)                   {}
 func (r *Region) FlushRange(off, n uint64)           {}

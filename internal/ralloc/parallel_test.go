@@ -95,6 +95,12 @@ func TestRecoverParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: sweep stats differ: seq %+v par %+v",
 				workers, seqStats, parStats)
 		}
+		// The work counters behind the Fig. 6 linearity checks must not
+		// depend on scan order, batching or worker count either.
+		if seqStats.TraceWork != parStats.TraceWork || seqStats.SweepUnits != parStats.SweepUnits {
+			t.Fatalf("workers=%d: work counters differ: seq trace %d sweep %d, par trace %d sweep %d",
+				workers, seqStats.TraceWork, seqStats.SweepUnits, parStats.TraceWork, parStats.SweepUnits)
+		}
 		if _, err := ph.CheckInvariants(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -188,7 +188,7 @@ func shardedCrashHeap(t *testing.T, shards int) *Heap {
 			t.Fatal("OOM")
 		}
 	}
-	if hd.Malloc(3*SuperblockBytes + 100) == 0 { // leaked large run
+	if hd.Malloc(3*SuperblockBytes+100) == 0 { // leaked large run
 		t.Fatal("large OOM")
 	}
 	if err := h.Region().Crash(); err != nil {

@@ -21,7 +21,7 @@ import (
 // Protocol limits: a garbage or hostile header must not make the server
 // allocate unboundedly.
 const (
-	maxArgs    = 1 << 20 // arguments per command
+	maxArgs    = 1 << 20  // arguments per command
 	maxBulkLen = 64 << 20 // bytes per bulk string
 	maxLineLen = 64 << 10 // bytes per protocol line
 	// maxReplyDepth bounds nested array replies. readReply recurses per
